@@ -1310,10 +1310,12 @@ fn cmd_bench_spine(o: &Opts) {
     let cfg = host_config(&opts);
     let olat = OramTiming::derive(&cfg.oram, &cfg.ddr).latency;
     let quantum = cfg.quantum;
-    // A short instruction burst, then the all-dummy steady state: every
-    // slot is a full recursive path access either way, but arrival
-    // ingestion (which scales with K x benchmark miss rate, not with
-    // the spine) stays a bounded prefix of the run.
+    // At the default 20k instructions no program finishes within
+    // SPINE_ROUNDS rounds, so every slot at every K is real (111,104 of
+    // 111,104 at K=1024): the timed loop covers open-loop tenant-core
+    // simulation and the ORAM real path as well as the spine itself. It
+    // has no all-dummy phase; a small `--instructions` shifts the mix
+    // toward dummy slots.
     let instructions = o.instructions.unwrap_or(20_000);
     let benches = benchmarks(o);
     let run_once = |k: usize| -> (u64, u64, u64, u64, f64) {

@@ -4,10 +4,12 @@
 //!
 //! # What lives here
 //!
-//! * [`TreeGeometry`] / [`TreeOram`] — one binary-tree ORAM: lazily
-//!   materialized buckets in (simulated) untrusted DRAM, an on-chip
+//! * [`TreeGeometry`] / [`TreeOram`] — one binary-tree ORAM: buckets in
+//!   (simulated) untrusted DRAM, of which the host stores a dense tree
+//!   top and below it only buckets holding real blocks, an on-chip
 //!   [`stash`](Stash), greedy path eviction, and probabilistic
-//!   re-encryption of every bucket a path touches.
+//!   re-encryption of every bucket a path touches (deep re-encryption
+//!   counters derive from a log of write-back leaves).
 //! * [`RecursivePathOram`] — the full controller: a data ORAM plus three
 //!   recursive position-map ORAMs (§9.1.2), an on-chip final position
 //!   map, and indistinguishable dummy accesses.

@@ -450,6 +450,7 @@ impl RecursivePathOram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::TreeGeometry;
     use proptest::prelude::*;
 
     fn small() -> RecursivePathOram {
@@ -612,6 +613,39 @@ mod tests {
     }
 
     #[test]
+    fn paper_geometry_dummies_store_no_deep_buckets() {
+        // Work-counter form of the occupied-only deep storage: dummy
+        // traffic on an empty ORAM re-encrypts every path bucket yet
+        // leaves nothing resident below any tree's dense top.
+        let mut o = RecursivePathOram::new(OramConfig::paper()).expect("valid");
+        let root = o.root_fingerprint();
+        for _ in 0..10_000 {
+            o.dummy_access();
+        }
+        assert_eq!(o.data.deep_buckets_resident(), 0);
+        for t in &o.posmaps {
+            assert_eq!(t.deep_buckets_resident(), 0);
+        }
+        assert_ne!(o.root_fingerprint(), root);
+        assert_eq!(o.stats().dummy_accesses, 10_000);
+        o.check_invariants();
+    }
+
+    /// An 18-level data tree: four levels below the dense tree top.
+    fn deep() -> RecursivePathOram {
+        RecursivePathOram::new(OramConfig {
+            data: TreeGeometry::new(18, 3, 64, 16),
+            posmaps: vec![
+                TreeGeometry::new(15, 3, 32, 16),
+                TreeGeometry::new(12, 3, 32, 16),
+                TreeGeometry::new(9, 3, 32, 16),
+            ],
+            seed: 0xDEE9,
+        })
+        .expect("valid")
+    }
+
+    #[test]
     fn paper_config_instantiates_lazily() {
         let mut o = RecursivePathOram::new(OramConfig::paper()).expect("valid");
         // 2^26 blocks addressable; pick one near the top of the range.
@@ -651,6 +685,67 @@ mod tests {
             }
             o.check_invariants();
             prop_assert!(o.stash_peak() < 64, "stash peak {}", o.stash_peak());
+        }
+
+        /// Deferral on a tree deeper than the dense top: random mixes of
+        /// inline and deferred reads, writes and dummies with drains read
+        /// back every write, and once drained every bucket on sampled
+        /// paths — deep levels included — has the serial fingerprint.
+        /// Sampled paths lead to written-back leaves and their near
+        /// neighbours, so deep buckets with non-zero counters are hit.
+        #[test]
+        fn prop_deep_fingerprints_match_serial(seed in any::<u64>(), ops in 1usize..80) {
+            let mut serial = deep();
+            let mut deferred = deep();
+            let mut oracle: std::collections::HashMap<u64, Vec<u8>> =
+                std::collections::HashMap::new();
+            let mut rng = SplitMix64::new(seed);
+            let mut written_back = Vec::new();
+            for step in 0..ops {
+                let addr = rng.next_below(64) * 4093;
+                match rng.next_below(5) {
+                    0 => {
+                        let val = vec![(step as u8) ^ 0x3C; 64];
+                        serial.write(addr, &val);
+                        deferred.write_deferred(addr, &val);
+                        oracle.insert(addr, val);
+                    }
+                    1 | 2 => {
+                        let expect = oracle.get(&addr).cloned().unwrap_or(vec![0u8; 64]);
+                        prop_assert_eq!(serial.read(addr), expect.clone());
+                        prop_assert_eq!(deferred.read_deferred(addr), expect);
+                    }
+                    3 => {
+                        serial.dummy_access();
+                        deferred.dummy_access_deferred();
+                    }
+                    _ => {
+                        deferred.drain_eviction();
+                        continue;
+                    }
+                }
+                written_back.extend(deferred.pending_evictions.back().copied());
+            }
+            deferred.drain_evictions();
+            serial.check_invariants();
+            deferred.check_invariants();
+            let geom = serial.config().data;
+            let mut samples = vec![Leaf(rng.next_below(geom.leaf_count()))];
+            for _ in 0..4 {
+                if let Some(&leaf) = written_back.get(rng.next_below(ops as u64) as usize) {
+                    samples.push(leaf);
+                    samples.push(Leaf(leaf.0 ^ (1 + rng.next_below(7))));
+                }
+            }
+            for leaf in samples {
+                for node in geom.path_nodes(leaf) {
+                    prop_assert_eq!(
+                        serial.bucket_fingerprint(node),
+                        deferred.bucket_fingerprint(node),
+                        "node {:?}", node
+                    );
+                }
+            }
         }
     }
 }

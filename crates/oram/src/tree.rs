@@ -6,9 +6,15 @@
 //! leaf it is being remapped to, mirroring how a hardware controller's
 //! datapath is driven by the position-map lookup pipeline.
 //!
-//! Buckets are lazily materialized: an untouched bucket is all dummies and
-//! costs no host memory, so paper-scale trees (2^25 leaves) are cheap to
-//! instantiate.
+//! Storage mirrors a hardware controller's split. The top
+//! `DENSE_LEVELS` levels live in a flat array (the on-chip tree-top
+//! buffer). Below them only *occupied* buckets are stored: a deep bucket
+//! is all dummies unless it holds a real block, so a dummy access stores
+//! nothing there and paper-scale trees (2^25 leaves) stay cheap however
+//! long they serve. A deep bucket's re-encryption counter is not stored
+//! either: it equals the number of path write-backs through it, derived
+//! on demand from an append-only log of write-back leaves (8 B per
+//! write-back, against ~40 B per empty bucket a counter map would hold).
 
 use crate::bucket::{Bucket, StoredBlock};
 use crate::geometry::{PathTable, TreeGeometry};
@@ -146,13 +152,21 @@ pub struct TreeOram {
     /// bucket indices per access.
     path: PathTable,
     /// Top [`DENSE_LEVELS`] levels, heap-indexed (`node.0` directly):
-    /// the tree-top buffer. Always allocated, `encryption_counter == 0`
-    /// means "never written" exactly like absence from the sparse map.
+    /// the tree-top buffer. Always allocated; `encryption_counter == 0`
+    /// means "never written".
     dense: Vec<Bucket>,
-    /// Buckets below the dense levels, lazily materialized on first
-    /// write — an untouched deep bucket is all dummies and costs no
-    /// host memory, so paper-scale trees stay cheap to instantiate.
-    buckets: HashMap<NodeIndex, Bucket, BuildNodeIndexHasher>,
+    /// The real blocks of every occupied bucket below the dense levels.
+    /// A path read removes its deep buckets and the write-back inserts
+    /// only the non-empty ones, so no entry is ever empty.
+    deep: HashMap<NodeIndex, Vec<StoredBlock>, BuildNodeIndexHasher>,
+    /// Emptied deep-bucket vectors, recycled into the eviction scratch
+    /// so moving blocks between the map and the scratch never allocates
+    /// in steady state. Holds at most one path's worth.
+    spare: Vec<Vec<StoredBlock>>,
+    /// Leaf of every path write-back, oldest first; empty for a tree with
+    /// no deep levels. A deep bucket's encryption counter is the number
+    /// of logged leaves whose path passes through it.
+    writebacks: Vec<Leaf>,
     stash: Stash,
     /// Per-level eviction scratch (root first), recycled across
     /// accesses: the single-pass stash eviction fills these, then each
@@ -186,7 +200,9 @@ impl TreeOram {
                 let levels = geom.levels().min(DENSE_LEVELS);
                 vec![Bucket::empty(); ((1u64 << levels) - 1) as usize]
             },
-            buckets: HashMap::default(),
+            deep: HashMap::default(),
+            spare: Vec::new(),
+            writebacks: Vec::new(),
             stash: Stash::new(),
             evict_scratch: Vec::new(),
             default_payload,
@@ -361,16 +377,33 @@ impl TreeOram {
     /// The ciphertext fingerprint of a bucket, as an adversary snapshotting
     /// DRAM would see it (§3.2). Changes on every write-back because
     /// buckets are re-encrypted probabilistically.
+    ///
+    /// O(1) for a tree-top node; below the dense levels the counter is
+    /// counted from the write-back log, so the cost is linear in the
+    /// tree's write-backs (probes and tests only — no serving path asks).
     pub fn bucket_fingerprint(&self, node: NodeIndex) -> u64 {
-        let counter = if (node.0 as usize) < self.dense.len() {
-            self.dense[node.0 as usize].encryption_counter
-        } else {
-            self.buckets
-                .get(&node)
-                .map(|b| b.encryption_counter)
-                .unwrap_or(0)
+        let counter = match self.dense.get(node.0 as usize) {
+            Some(bucket) => bucket.encryption_counter,
+            None => self.deep_encryption_counter(node),
         };
         self.fingerprint_prf.eval2(node.0, counter)
+    }
+
+    /// Write-backs of a path through deep `node`: the node at level `l`
+    /// is `(2^l − 1) + prefix`, and the path to `leaf` passes through it
+    /// iff `leaf >> (height − l) == prefix`. Zero for a node outside
+    /// the tree.
+    fn deep_encryption_counter(&self, node: NodeIndex) -> u64 {
+        let level = node.0.saturating_add(1).ilog2();
+        if level >= self.geom.levels() {
+            return 0;
+        }
+        let prefix = node.0 + 1 - (1u64 << level);
+        let shift = self.geom.height() - level;
+        self.writebacks
+            .iter()
+            .filter(|leaf| leaf.0 >> shift == prefix)
+            .count() as u64
     }
 
     /// Fingerprint of the root bucket (§3.2's probe target: the root is on
@@ -393,18 +426,24 @@ impl TreeOram {
         }
     }
 
-    /// Number of buckets that have ever been written (host-memory
-    /// footprint diagnostic). Dense tree-top buckets are pre-allocated,
-    /// so "written" there means a non-zero encryption counter — exactly
-    /// the condition under which the sparse map used to materialize an
-    /// entry.
+    /// Dense buckets ever written plus deep buckets resident (host-memory
+    /// footprint diagnostic). A dense tree-top bucket counts once its
+    /// encryption counter is non-zero; a deep bucket counts while it
+    /// holds at least one real block.
     pub fn materialized_buckets(&self) -> usize {
         let dense_written = self
             .dense
             .iter()
             .filter(|b| b.encryption_counter > 0)
             .count();
-        dense_written + self.buckets.len()
+        dense_written + self.deep.len()
+    }
+
+    /// Deep (below the tree top) buckets resident now; each holds at
+    /// least one real block.
+    #[cfg(test)]
+    pub(crate) fn deep_buckets_resident(&self) -> usize {
+        self.deep.len()
     }
 
     fn read_path_into_stash(&mut self, leaf: Leaf) {
@@ -420,9 +459,12 @@ impl TreeOram {
         }
         for level in dense_levels..self.path.levels() {
             let node = self.path.node_at(leaf, level);
-            if let Some(bucket) = self.buckets.get_mut(&node) {
-                for block in bucket.blocks.drain(..) {
+            if let Some(mut blocks) = self.deep.remove(&node) {
+                for block in blocks.drain(..) {
                     self.stash.insert(block);
+                }
+                if self.spare.len() < self.path.levels() {
+                    self.spare.push(blocks);
                 }
             }
         }
@@ -453,23 +495,33 @@ impl TreeOram {
             &mut self.evict_scratch,
         );
         let dense_levels = self.dense_levels();
-        for level in (0..levels).rev() {
-            let node = self.path.node_at(leaf, level);
-            let bucket = if level < dense_levels {
-                &mut self.dense[node.0 as usize]
-            } else {
-                self.buckets.entry(node).or_insert_with(Bucket::empty)
-            };
+        for level in 0..dense_levels {
+            let bucket = &mut self.dense[self.path.node_at(leaf, level).0 as usize];
             debug_assert!(bucket.blocks.is_empty(), "path was read before write");
             bucket.blocks.append(&mut self.evict_scratch[level]);
             // Probabilistic re-encryption of every bucket on the path.
             bucket.encryption_counter += 1;
         }
+        for level in dense_levels..levels {
+            if self.evict_scratch[level].is_empty() {
+                continue; // an all-dummy bucket stores nothing
+            }
+            let spare = self.spare.pop().unwrap_or_default();
+            let blocks = std::mem::replace(&mut self.evict_scratch[level], spare);
+            let prev = self.deep.insert(self.path.node_at(leaf, level), blocks);
+            debug_assert!(prev.is_none(), "path was read before write");
+        }
+        if levels > dense_levels {
+            // Re-encryption of the deep half of the path: one log entry
+            // stands for one counter increment on every deep bucket.
+            self.writebacks.push(leaf);
+        }
     }
 
     /// Verifies the Path ORAM invariant for every materialized block:
     /// a block mapped to leaf `l` must lie on the path to `l` (or in the
-    /// stash). Returns the number of blocks checked.
+    /// stash), and no empty bucket is stored below the tree top. Returns
+    /// the number of blocks checked.
     ///
     /// # Panics
     ///
@@ -477,17 +529,20 @@ impl TreeOram {
     /// for tests and debug assertions, not production paths.
     pub fn check_invariant(&self) -> usize {
         let mut checked = 0;
+        for (node, blocks) in self.deep.iter() {
+            assert!(!blocks.is_empty(), "empty deep bucket {node:?} stored");
+        }
         let dense = self
             .dense
             .iter()
             .enumerate()
-            .map(|(i, b)| (NodeIndex(i as u64), b));
-        for (node, bucket) in dense.chain(self.buckets.iter().map(|(n, b)| (*n, b))) {
+            .map(|(i, b)| (NodeIndex(i as u64), &b.blocks));
+        for (node, blocks) in dense.chain(self.deep.iter().map(|(n, b)| (*n, b))) {
             assert!(
-                bucket.blocks.len() <= self.geom.z(),
+                blocks.len() <= self.geom.z(),
                 "bucket {node:?} over capacity"
             );
-            for block in &bucket.blocks {
+            for block in blocks {
                 let on_path = self.geom.path_nodes(block.leaf).any(|n| n == node);
                 assert!(
                     on_path,
@@ -619,6 +674,35 @@ mod tests {
     }
 
     #[test]
+    fn deep_levels_store_only_occupied_buckets() {
+        // A 20-level tree has six levels below the dense top. Dummy
+        // traffic over an empty tree must store nothing there, and with
+        // blocks resident every stored deep bucket holds one.
+        let mut t = test_tree(20);
+        let geom = *t.geometry();
+        let mut next = leaf_seq(&geom, 9);
+        for _ in 0..500 {
+            t.dummy_access(next());
+        }
+        assert_eq!(t.deep_buckets_resident(), 0);
+        let mut leaves = Vec::new();
+        for id in 0..40u64 {
+            let leaf = next();
+            t.write(BlockId(id), next(), leaf, &[id as u8; 64]);
+            leaves.push(leaf);
+        }
+        for _ in 0..500 {
+            t.dummy_access(next());
+            assert!(t.deep_buckets_resident() <= 40);
+        }
+        assert!(t.deep_buckets_resident() > 0, "deep levels hold blocks");
+        assert_eq!(t.check_invariant(), 40);
+        for (id, leaf) in leaves.into_iter().enumerate() {
+            assert_eq!(t.read(BlockId(id as u64), leaf, next()), vec![id as u8; 64]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "payload must be block-sized")]
     fn wrong_payload_size_panics() {
         test_tree(4).write(BlockId(0), Leaf(0), Leaf(0), &[1, 2, 3]);
@@ -665,6 +749,104 @@ mod tests {
                 }
                 t.check_invariant();
                 prop_assert!(t.stash_len() <= 40, "stash grew to {}", t.stash_len());
+            }
+        }
+
+        /// Deep fingerprints derived from the write-back log equal the
+        /// per-bucket re-encryption counters the tree once stored. The
+        /// oracle keeps that representation — one counter per node, bumped
+        /// on every node of each written-back path — while the test plays
+        /// the controller: it owns the position map and a FIFO of deferred
+        /// evictions, and mixes inline and deferred reads, writes and
+        /// dummies with drains on an 18-level tree (four levels below the
+        /// dense top). Sampled paths lead to written-back leaves and their
+        /// near neighbours, so deep buckets with non-zero counters are hit.
+        #[test]
+        fn prop_fingerprints_match_counter_oracle(seed in any::<u64>(), ops in 1usize..120) {
+            let mut t = test_tree(18);
+            let geom = *t.geometry();
+            let prf = Prf::new(SymmetricKey::from_seed(1234), b"fingerprint");
+            let mut rng = otc_crypto::SplitMix64::new(seed);
+            let mut counters: std::collections::HashMap<NodeIndex, u64> =
+                std::collections::HashMap::new();
+            // Write-backs so far, oldest first: sampling targets.
+            let mut written_back = Vec::new();
+            let write_back = |counters: &mut std::collections::HashMap<NodeIndex, u64>,
+                                  written_back: &mut Vec<Leaf>,
+                                  leaf: Leaf| {
+                for node in geom.path_nodes(leaf) {
+                    *counters.entry(node).or_insert(0) += 1;
+                }
+                written_back.push(leaf);
+            };
+            let mut model: std::collections::HashMap<u64, (Vec<u8>, Leaf)> =
+                std::collections::HashMap::new();
+            let mut pending = std::collections::VecDeque::new();
+            for step in 0..ops {
+                let id = rng.next_below(24);
+                let new_leaf = Leaf(rng.next_below(geom.leaf_count()));
+                let cur_leaf = model
+                    .get(&id)
+                    .map(|(_, l)| *l)
+                    .unwrap_or(Leaf(rng.next_below(geom.leaf_count())));
+                let defer = rng.next_below(2) == 0;
+                match rng.next_below(4) {
+                    0 => {
+                        let payload = vec![(step as u8) ^ 0xA5; 64];
+                        let update = |p: &mut Vec<u8>| p.copy_from_slice(&payload);
+                        if defer {
+                            t.access_update_deferred_quiet(BlockId(id), cur_leaf, new_leaf, update);
+                        } else {
+                            t.access_update_quiet(BlockId(id), cur_leaf, new_leaf, update);
+                        }
+                        model.insert(id, (payload, new_leaf));
+                    }
+                    1 => {
+                        let got = if defer {
+                            t.access_update_deferred(BlockId(id), cur_leaf, new_leaf, |_| {})
+                        } else {
+                            t.read(BlockId(id), cur_leaf, new_leaf)
+                        };
+                        let expect = model.get(&id).map(|(p, _)| p.clone()).unwrap_or(vec![0u8; 64]);
+                        prop_assert_eq!(got, expect.clone());
+                        model.insert(id, (expect, new_leaf));
+                    }
+                    2 => {
+                        if defer {
+                            t.dummy_access_deferred(cur_leaf);
+                        } else {
+                            t.dummy_access(cur_leaf);
+                        }
+                    }
+                    _ => {
+                        if let Some(leaf) = pending.pop_front() {
+                            t.evict_path(leaf);
+                            write_back(&mut counters, &mut written_back, leaf);
+                        }
+                        continue;
+                    }
+                }
+                if defer {
+                    pending.push_back(cur_leaf);
+                } else {
+                    write_back(&mut counters, &mut written_back, cur_leaf);
+                }
+                t.check_invariant();
+                let mut samples = vec![Leaf(rng.next_below(geom.leaf_count()))];
+                if let Some(&leaf) = written_back.get(rng.next_below(step as u64 + 1) as usize) {
+                    samples.push(leaf);
+                    samples.push(Leaf(leaf.0 ^ (1 + rng.next_below(7))));
+                }
+                for leaf in samples {
+                    for node in geom.path_nodes(leaf) {
+                        let counter = counters.get(&node).copied().unwrap_or(0);
+                        prop_assert_eq!(
+                            t.bucket_fingerprint(node),
+                            prf.eval2(node.0, counter),
+                            "node {:?} after step {}", node, step
+                        );
+                    }
+                }
             }
         }
     }
