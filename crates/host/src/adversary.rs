@@ -7,9 +7,9 @@
 //! and its entire view of the fleet is what any tenant can measure for
 //! free: when its own slots started and how long its own accesses sat
 //! queued behind busy shards ([`ObservedSlot`]). The host appends those
-//! observations deterministically (in the serial path at serve time, in
-//! the parallel path during the `TimeQ` completion merge), so an
-//! adversary's observation log is byte-identical at any thread count —
+//! observations at the end of each round, walking the round's served
+//! slots in serve order, so an adversary's observation log is
+//! byte-identical at any thread count —
 //! which is what lets the isolation tests assert *measured* leakage
 //! against the ledger's per-tenant budget instead of arguing from
 //! properties.

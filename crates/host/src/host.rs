@@ -59,12 +59,11 @@ use crate::adversary::{AdversaryKind, AdversaryState, ObservedSlot};
 use crate::arbiter::{ArbiterKind, WdrrArbiter};
 use crate::calendar::CalendarQueue;
 use crate::ledger::LeakageLedger;
-use crate::parallel::{LaneRequest, RoundWork, WorkerChannel, WorkerPool};
+use crate::parallel::{Executor, LaneRequest, WorkerPool};
 use crate::shard::{
-    Lane, LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram,
+    LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardRouter, ShardService, ShardedOram,
 };
 use crate::tenant::TenantDirectory;
-use crate::timeq::TimeQ;
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
 use otc_core::{EpochSchedule, LeakageParams, RatePolicy, SessionError, SlotStream};
@@ -173,22 +172,23 @@ pub enum SchedulerKind {
 ///
 /// The scheduling spine — calendar pops, tenant PRNG draws, slot-grid
 /// serves, the leakage ledger — is always serial (its order *is* the
-/// determinism guarantee). What parallelizes is the heavy per-shard
-/// work: ORAM path reads, stash updates, eviction drains, histogram
-/// records. Each shard is pinned to one worker, workers execute their
-/// shards' requests strictly FIFO, and completions are merged back in
-/// deterministic `(slot time, shard, posting order)` order before any
-/// cross-shard bookkeeping — so seeded runs produce byte-identical
-/// serve logs, ledgers, and `.otcp` perf sessions at any thread count
-/// (`tests/threaded_equivalence.rs` pins this).
+/// determinism guarantee) and posts each slot's shard request to a
+/// round executor. What parallelizes is the heavy per-shard work: ORAM
+/// path reads, stash updates, eviction drains, histogram records. Each
+/// shard is pinned to one worker and workers execute their shards'
+/// requests strictly FIFO, so every shard sees the spine's posting
+/// order; completions commit in posting order after the round — so
+/// seeded runs produce byte-identical serve logs, ledgers, and `.otcp`
+/// perf sessions at any thread count (`tests/threaded_equivalence.rs`
+/// pins this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelKind {
     /// Everything on the caller's thread — the bit-exact reference.
     #[default]
     Serial,
-    /// Shard work on `n` scoped worker threads (clamped to the shard
-    /// count; `Threads(0)` and `Threads(1)` degenerate to one worker,
-    /// still exercising the post/merge machinery).
+    /// Shard work on a pool of `n` persistent worker threads (clamped
+    /// to the shard count; `Threads(0)` and `Threads(1)` degenerate to
+    /// one worker, still exercising the pool executor).
     Threads(usize),
 }
 
@@ -235,11 +235,10 @@ pub struct HostConfig {
     /// cycles) exceeds every slot period the paper's rate sets produce,
     /// so entries almost never alias onto a later pass of the ring.
     pub calendar_buckets: usize,
-    /// Round execution mode (see [`ParallelKind`]): `Serial` is the
-    /// bit-exact reference; `Threads(n)` runs shard work on `n` worker
-    /// threads with a deterministic completion merge, producing the
-    /// same observable state (serve logs, ledgers, perf sessions) at
-    /// any thread count.
+    /// Round execution mode (see [`ParallelKind`]): `Serial` runs shard
+    /// work inline on the spine thread; `Threads(n)` runs it on `n`
+    /// worker threads, producing the same observable state (serve logs,
+    /// ledgers, perf sessions) at any thread count.
     pub parallel: ParallelKind,
     /// Heterogeneous shard-class mix. Empty (the default) builds a
     /// homogeneous pool from [`HostConfig::oram`] +
@@ -561,8 +560,8 @@ struct TenantRuntime {
     /// unshaped default).
     traffic_model: TrafficModel,
     /// `Some` when this seat runs an attacks-crate adversary; its
-    /// observation log is appended deterministically by both round
-    /// paths.
+    /// observation log is appended at the end of each round, in serve
+    /// order.
     adversary: Option<AdversaryState>,
 }
 
@@ -742,43 +741,38 @@ impl HostReport {
     }
 }
 
-/// One posted slot's bookkeeping in the parallel round loop: who was
-/// served, when, where, whether it carried a real request, and which
-/// channel completion carries its [`ShardService`].
+/// One served slot's bookkeeping, in posting (= serve) order: who was
+/// served, when, whether it carried a real request, and the executor
+/// ticket naming its [`ShardService`].
 struct PostedSlot {
     tenant: usize,
     slot: Cycle,
-    shard: usize,
-    worker: usize,
-    windex: usize,
     real: bool,
+    ticket: (usize, usize),
 }
 
-/// Persistent round-loop scratch: every buffer the serial and parallel
-/// round loops previously re-allocated per round, hoisted onto the host
-/// so the steady-state serving spine allocates nothing. No buffer
+/// Persistent round-loop scratch: every buffer the round loop would
+/// otherwise re-allocate per round, hoisted onto the host. No buffer
 /// carries meaning across rounds (each round clears before filling) —
-/// except `shard_cost`, a cache of the per-shard pricing vector that
-/// stays valid until a pool resize marks it stale.
+/// except `shard_cost` and `router`, caches of the pool's per-shard
+/// pricing and address routing that stay valid until a resize marks
+/// them stale.
 #[derive(Default)]
 struct RoundScratch {
     /// Cached [`ShardedOram::pricing_cadences`] result.
     shard_cost: Vec<Cycle>,
-    /// Whether `shard_cost` must be rebuilt before the next round.
-    shard_cost_stale: bool,
-    /// Per-worker spine↔worker channels, reopened every parallel round.
-    channels: Vec<std::sync::Arc<WorkerChannel>>,
-    /// Parallel-round slot bookkeeping in spine posting order.
+    /// Cached [`ShardedOram::router`] clone: the spine routes with it
+    /// while the executor holds the pool.
+    router: ShardRouter,
+    /// Whether `shard_cost` and `router` must be rebuilt before the
+    /// next round.
+    stale: bool,
+    /// Served slots in posting order, committed after the round.
     posted: Vec<PostedSlot>,
-    /// Closed-loop feedback owed per tenant (worker, completion index).
+    /// Closed-loop feedback owed per tenant (executor ticket).
     pending_fb: Vec<Option<(usize, usize)>>,
-    /// Per-worker lane deal-out buffers; the allocations round-trip
-    /// through the worker pool and come back for the next round.
-    groups: Vec<Vec<Lane>>,
-    /// Per-worker completion snapshots, copied out of the channels.
+    /// Per-worker completions, indexed by ticket.
     completions: Vec<Vec<ShardService>>,
-    /// The deterministic completion merge, cleared between rounds.
-    merge: TimeQ<(usize, bool, ShardService)>,
 }
 
 /// The multi-tenant ORAM appliance.
@@ -802,7 +796,7 @@ pub struct MultiTenantHost {
     /// one branch at the end of each round; nothing per served slot.
     perf: Option<SessionRecorder>,
     /// Persistent worker threads for [`ParallelKind::Threads`], spawned
-    /// lazily on the first parallel round and reused for every round
+    /// lazily on the first threaded round and reused for every round
     /// after (per-round thread spawns would dominate the shard work).
     /// Always `None` under [`ParallelKind::Serial`].
     pool: Option<WorkerPool>,
@@ -865,20 +859,21 @@ impl MultiTenantHost {
             pool: None,
             arbiter: WdrrArbiter::new(cfg_arbiter),
             scratch: RoundScratch {
-                shard_cost_stale: true,
+                stale: true,
                 ..RoundScratch::default()
             },
         })
     }
 
-    /// Rebuilds the cached per-shard pricing vector if a resize (or the
-    /// first round) left it stale. Cheap no-op in the steady state.
-    fn refresh_shard_cost(&mut self) {
-        if self.scratch.shard_cost_stale || self.scratch.shard_cost.len() != self.sharded.n_shards()
-        {
+    /// Rebuilds the cached per-shard pricing vector and address routing
+    /// if a resize (or the first round) left them stale. Cheap no-op in
+    /// the steady state.
+    fn refresh_shard_caches(&mut self) {
+        if self.scratch.stale {
             self.sharded
                 .pricing_cadences_into(self.cfg.capacity, &mut self.scratch.shard_cost);
-            self.scratch.shard_cost_stale = false;
+            self.scratch.router = self.sharded.router();
+            self.scratch.stale = false;
         }
     }
 
@@ -1153,11 +1148,17 @@ impl MultiTenantHost {
         // of abandoning due slots.
         let mut retired = 0u64;
         while rt.stream.next_slot() < clock {
-            Self::serve_dummy(
-                rt,
-                &mut self.sharded,
+            let req = Self::serve_dummy(rt, self.sharded.n_shards());
+            let service = self.sharded.execute(req.lane, req.op, req.at);
+            rt.queueing_cycles += service.queued_cycles;
+            Self::log_slot(
                 &mut self.serve_log,
                 self.cfg.record_traces,
+                ServedSlot {
+                    tenant: id,
+                    start: req.at,
+                    real: false,
+                },
             );
             retired += 1;
         }
@@ -1219,7 +1220,7 @@ impl MultiTenantHost {
         }
         self.sharded.resize(n_shards).map_err(HostError::Build)?;
         self.cfg.n_shards = n_shards;
-        self.scratch.shard_cost_stale = true;
+        self.scratch.stale = true;
         // Re-price every active row under the new pool's model. Rows
         // admitted before the resize otherwise keep a `capacity_share`
         // from the old geometry, silently divorcing the ledger's
@@ -1329,30 +1330,26 @@ impl MultiTenantHost {
         }
     }
 
-    /// Serves one dummy slot for `rt`: shard drawn from the tenant's own
-    /// PRNG, queueing accrued, serve log appended (capped). Shared by
-    /// the scheduler's dummy branch and eviction's retire-as-dummies
-    /// drain so the two accounting paths stay in lockstep. Returns the
-    /// service record so the caller can charge the WDRR arbiter for the
-    /// shard the dummy actually landed on.
-    fn serve_dummy(
-        rt: &mut TenantRuntime,
-        sharded: &mut ShardedOram,
-        serve_log: &mut Vec<ServedSlot>,
-        record: bool,
-    ) -> crate::shard::ShardService {
-        let shard = rt.rng.next_below(sharded.n_shards() as u64) as usize;
+    /// Serves `rt`'s next slot as a dummy: the shard is drawn uniformly
+    /// from the tenant's own PRNG and the stream serves an empty slot.
+    /// Returns the request for the caller to execute. Shared by the
+    /// round loop's dummy branch and eviction's retire-as-dummies drain
+    /// so the two paths draw and serve in lockstep.
+    fn serve_dummy(rt: &mut TenantRuntime, n_shards: usize) -> LaneRequest {
+        let lane = rt.rng.next_below(n_shards as u64) as usize;
         let outcome = rt.stream.serve(None);
-        let service = sharded.dummy_access(shard, outcome.start);
-        rt.queueing_cycles += service.queued_cycles;
-        if record && serve_log.len() < SERVE_LOG_CAP {
-            serve_log.push(ServedSlot {
-                tenant: rt.id,
-                start: outcome.start,
-                real: false,
-            });
+        LaneRequest {
+            lane,
+            at: outcome.start,
+            op: LaneOp::Dummy,
         }
-        service
+    }
+
+    /// Appends one entry to the serve log when traces are on (capped).
+    fn log_slot(serve_log: &mut Vec<ServedSlot>, record: bool, slot: ServedSlot) {
+        if record && serve_log.len() < SERVE_LOG_CAP {
+            serve_log.push(slot);
+        }
     }
 
     /// Finds the next due slot via the reference k-way merge: the
@@ -1361,8 +1358,8 @@ impl MultiTenantHost {
     /// calendar path hands [`CalendarQueue::pop_due`], so the two
     /// schedulers stay serve-order identical). O(K) per call — this is
     /// exactly the cost the calendar queue removes. An associated fn
-    /// (not a method) so the parallel round loop can call it while
-    /// holding disjoint field borrows of the host.
+    /// (not a method) so the round loop can call it while holding
+    /// disjoint field borrows of the host.
     fn pick_merge_in<R: Ord>(
         tenants: &[TenantRuntime],
         frontier: Cycle,
@@ -1395,161 +1392,45 @@ impl MultiTenantHost {
     /// service keeps the shards' queueing accounting honest and matches
     /// what the appliance hardware would do.
     ///
-    /// Under [`ParallelKind::Threads`] the shard work executes on
-    /// worker threads with a deterministic completion merge; the
-    /// observable outcome is bit-identical to [`ParallelKind::Serial`].
+    /// The spine — calendar pops, stream serves, PRNG draws, routing,
+    /// arbiter charges, serve log, ledger — runs on the caller's thread
+    /// and posts each slot's [`LaneRequest`] to a round-local
+    /// [`Executor`]: inline under [`ParallelKind::Serial`], the worker
+    /// pool under [`ParallelKind::Threads`]. The outcome is bit-identical
+    /// either way because:
+    ///
+    /// 1. **Per-lane FIFO = posting order.** Each shard maps to exactly
+    ///    one worker and workers drain their channels FIFO, so every
+    ///    shard sees its requests in the spine's posting order — the
+    ///    order the inline executor runs them in.
+    /// 2. **Closed-loop feedback waits for the next pull.** A suspended
+    ///    core is only re-polled at the tenant's next due slot, so its
+    ///    completion is applied just before that pull (or at the round
+    ///    boundary) under both executors.
+    /// 3. **Completion bookkeeping commits in posting order.** Tenant
+    ///    queueing sums and adversary observations are applied after the
+    ///    loop, walking the posted slots in serve order; each tenant's
+    ///    slots were posted in time order.
     pub fn step_round(&mut self) {
-        match self.cfg.parallel {
-            ParallelKind::Serial => self.step_round_serial(),
-            ParallelKind::Threads(n) => self.step_round_parallel(n.max(1)),
-        }
-    }
-
-    /// The serial reference round loop ([`ParallelKind::Serial`]).
-    fn step_round_serial(&mut self) {
         // Saturating: the round frontier parks at the end of time at
         // the numeric horizon instead of wrapping behind the clock.
         let frontier = self.clock.saturating_add(self.cfg.quantum);
         let n = self.tenants.len();
-        let rotation = self.rotation;
-        self.arbiter.replenish(self.cfg.quantum);
-        // Per-shard slot costs (stable within a round: resizes happen
-        // between rounds) the arbiter spends credits against. Cached
-        // across rounds; moved out for the loop and put back after.
-        self.refresh_shard_cost();
-        let shard_cost = std::mem::take(&mut self.scratch.shard_cost);
-        loop {
-            // Composite tie-break: biggest unspent WDRR credit first
-            // (constant under uniform weights or ArbiterKind::Rotation),
-            // the legacy rotating rank as the deterministic settlement.
-            let pick = {
-                let arbiter = &self.arbiter;
-                let rank =
-                    |key: usize| (Reverse(arbiter.credit_rank(key)), (key + n - rotation) % n);
-                match self.cfg.scheduler {
-                    SchedulerKind::Calendar => self.calendar.pop_due(frontier, rank),
-                    SchedulerKind::Merge => Self::pick_merge_in(&self.tenants, frontier, rank),
-                }
-            };
-            let Some((idx, slot)) = pick else { break };
-            debug_assert_eq!(self.tenants[idx].stream.next_slot(), slot);
-            let rt = &mut self.tenants[idx];
-            // Lazy arrival pull: everything that arrived by this slot's
-            // start decides real-vs-dummy; later arrivals wait for the
-            // tenant's own later slots, exactly as with the old eager
-            // per-round pull.
-            Self::pull_arrivals(rt, slot);
-            let eligible = matches!(rt.pending.front(), Some(p) if p.at <= slot);
-            if eligible {
-                let req = rt.pending.pop_front().expect("front exists");
-                let outcome = rt.stream.serve(Some(req.at));
-                let service = match req.kind {
-                    AccessKind::Read => self.sharded.read_discard(req.line_addr, outcome.start),
-                    AccessKind::Write => {
-                        let zeros = [0u8; 64];
-                        self.sharded.write(req.line_addr, &zeros, outcome.start)
-                    }
-                };
-                rt.queueing_cycles += service.queued_cycles;
-                if let Some(adv) = rt.adversary.as_mut() {
-                    adv.record(ObservedSlot {
-                        start: slot,
-                        queued: service.queued_cycles,
-                        real: true,
-                    });
-                }
-                self.arbiter.charge(idx, shard_cost[service.shard]);
-                // Closed-loop feedback: the tenant's core is suspended on
-                // its demand read; resume it with the service completion
-                // it actually observed (slot wait + queueing + OLAT),
-                // translated back onto the tenant-local clock. The
-                // arrivals the resumed core can now produce are pulled
-                // lazily at its next due slot.
-                if rt.traffic.is_closed_loop() && req.kind == AccessKind::Read {
-                    rt.traffic.complete(service.completion - rt.origin);
-                }
-                if self.cfg.record_traces && self.serve_log.len() < SERVE_LOG_CAP {
-                    self.serve_log.push(ServedSlot {
-                        tenant: rt.id,
-                        start: slot,
-                        real: true,
-                    });
-                }
-            } else {
-                let service = Self::serve_dummy(
-                    rt,
-                    &mut self.sharded,
-                    &mut self.serve_log,
-                    self.cfg.record_traces,
-                );
-                if let Some(adv) = rt.adversary.as_mut() {
-                    adv.record(ObservedSlot {
-                        start: slot,
-                        queued: service.queued_cycles,
-                        real: false,
-                    });
-                }
-                self.arbiter.charge(idx, shard_cost[service.shard]);
-            }
-            if self.cfg.scheduler == SchedulerKind::Calendar {
-                self.calendar.insert(idx, rt.stream.next_slot());
-            }
-            // Ledger sync per served slot (transitions only move when a
-            // slot is served, so untouched tenants need no sweep).
-            self.ledger
-                .record_transitions(rt.id, rt.stream.transitions().len() as u64);
-        }
-        self.scratch.shard_cost = shard_cost;
-        self.finish_round(frontier);
-    }
-
-    /// The parallel round loop ([`ParallelKind::Threads`]).
-    ///
-    /// The spine below is the serial loop verbatim — same calendar
-    /// pops, same stream serves, same PRNG draws, same serve-log
-    /// entries — except the shard execution (`ShardedOram::read` /
-    /// `write` / `dummy_access`) is replaced by posting a [`LaneRequest`]
-    /// to the worker owning that shard. Equivalence rests on three
-    /// facts:
-    ///
-    /// 1. **Per-lane FIFO = serial order.** Each shard maps to exactly
-    ///    one worker, and workers drain their channels FIFO, so every
-    ///    shard sees its requests in exactly the spine's (= serial)
-    ///    posting order; the per-lane arithmetic is bit-identical.
-    /// 2. **Deferred closed-loop feedback is invisible.** A suspended
-    ///    closed-loop core is only re-polled at the tenant's next due
-    ///    slot, so completing it just before that pull (or at the round
-    ///    boundary) reproduces the serial traffic state exactly.
-    /// 3. **Cross-lane bookkeeping is commutative or merged.** Per-
-    ///    tenant queueing sums are applied from a [`TimeQ`] ordered by
-    ///    `(slot time, shard, posting order)`; everything else the
-    ///    round touches (ledger, calendar, streams) lives on the spine.
-    fn step_round_parallel(&mut self, threads: usize) {
-        // Saturating: the round frontier parks at the end of time at
-        // the numeric horizon instead of wrapping behind the clock.
-        let frontier = self.clock.saturating_add(self.cfg.quantum);
-        let n = self.tenants.len();
+        let n_shards = self.sharded.n_shards();
         let rotation = self.rotation;
         let record = self.cfg.record_traces;
         let scheduler = self.cfg.scheduler;
-        let router = self.sharded.router();
-        let n_shards = router.n_shards();
-        let workers = threads.min(n_shards).max(1);
-        // Spawn the persistent pool on the first parallel round; rounds
-        // after this reuse the same threads (idle workers past the
-        // active `workers` count just stay parked on their receivers).
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(threads.max(1)));
-        }
         self.arbiter.replenish(self.cfg.quantum);
-        // Per-shard slot costs, snapshotted while the pool still holds
-        // its lanes (resizes happen between rounds, so this is stable).
-        self.refresh_shard_cost();
-        // Disjoint field borrows so the spine can mutate tenants/
-        // calendar/ledger/serve log while the pool holds the lanes. The
-        // round scratch is destructured the same way: `shard_cost` is
-        // read while `posted`/`pending_fb` are written.
-        let pool = self.pool.as_ref().expect("created above");
+        // Per-shard slot costs and routing (stable within a round:
+        // resizes happen between rounds), cached across rounds.
+        self.refresh_shard_caches();
+        if let ParallelKind::Threads(threads) = self.cfg.parallel {
+            // Spawned on the first threaded round and reused after.
+            self.pool
+                .get_or_insert_with(|| WorkerPool::new(threads.max(1)));
+        }
+        // Disjoint field borrows: the executor holds the shard pool
+        // while the spine mutates tenants, calendar, ledger, serve log.
         let tenants = &mut self.tenants;
         let calendar = &mut self.calendar;
         let serve_log = &mut self.serve_log;
@@ -1557,219 +1438,117 @@ impl MultiTenantHost {
         let arbiter = &mut self.arbiter;
         let RoundScratch {
             shard_cost,
-            channels,
+            router,
             posted,
             pending_fb,
-            groups,
             completions,
-            merge,
             ..
         } = &mut self.scratch;
-        let shard_cost: &[Cycle] = shard_cost;
-        let mut lanes = self.sharded.take_lanes();
-        // Reopen (or on worker-count change, rebuild) the per-worker
-        // channels; their queue/completion allocations persist.
-        if channels.len() != workers {
-            channels.clear();
-            channels.extend((0..workers).map(|_| std::sync::Arc::new(WorkerChannel::new())));
-        } else {
-            for channel in channels.iter() {
-                channel.reset();
-            }
-        }
+        let mut exec = match self.pool.as_mut() {
+            Some(pool) => Executor::pool(&mut self.sharded, pool, completions),
+            None => Executor::inline(&mut self.sharded, completions),
+        };
         posted.clear();
-        // Closed-loop feedback owed from a tenant's last real read this
-        // round, resolved lazily (see equivalence fact 2 above).
         pending_fb.clear();
         pending_fb.resize(n, None);
-        // Deal lane i to worker i % workers; within a worker, lane i
-        // sits at position i / workers (the RoundWork stride layout).
-        // The group buffers round-trip through the workers, so after the
-        // first round this moves lanes between existing allocations.
-        {
-            if groups.len() != workers {
-                groups.clear();
-                groups.resize_with(workers, Vec::new);
-            }
-            for (i, lane) in lanes.drain(..).enumerate() {
-                groups[i % workers].push(lane);
-            }
-            for (w, group) in groups.iter_mut().enumerate() {
-                pool.dispatch(
-                    w,
-                    RoundWork {
-                        lanes: std::mem::take(group),
-                        channel: channels[w].clone(),
-                        stride: workers,
-                    },
-                );
-            }
-            loop {
-                // Same composite rank as the serial loop: WDRR credit,
-                // then the legacy rotating tie-break. Charging happens
-                // at post time in spine order, so the credit evolution
-                // is bit-identical to serial at any thread count.
-                let pick = {
-                    let a = &*arbiter;
-                    let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
-                    match scheduler {
-                        SchedulerKind::Calendar => calendar.pop_due(frontier, rank),
-                        SchedulerKind::Merge => Self::pick_merge_in(tenants, frontier, rank),
-                    }
-                };
-                let Some((idx, slot)) = pick else { break };
-                debug_assert_eq!(tenants[idx].stream.next_slot(), slot);
-                // Resolve feedback owed from this tenant's previous real
-                // read before its core is re-polled: blocks only until
-                // the owning worker reaches that (already posted)
-                // request, never circularly.
-                if let Some((w, i)) = pending_fb[idx].take() {
-                    let service = channels[w].wait_completion(i);
-                    let rt = &mut tenants[idx];
-                    rt.traffic.complete(service.completion - rt.origin);
+        loop {
+            // Composite tie-break: biggest unspent WDRR credit first
+            // (constant under uniform weights or ArbiterKind::Rotation),
+            // the legacy rotating rank as the deterministic settlement.
+            let pick = {
+                let a = &*arbiter;
+                let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
+                match scheduler {
+                    SchedulerKind::Calendar => calendar.pop_due(frontier, rank),
+                    SchedulerKind::Merge => Self::pick_merge_in(tenants, frontier, rank),
                 }
-                let rt = &mut tenants[idx];
-                Self::pull_arrivals(rt, slot);
-                let eligible = matches!(rt.pending.front(), Some(p) if p.at <= slot);
-                if eligible {
-                    let req = rt.pending.pop_front().expect("front exists");
-                    let outcome = rt.stream.serve(Some(req.at));
-                    let shard = router.shard_of(req.line_addr);
-                    let op = match req.kind {
-                        AccessKind::Read => LaneOp::Read {
-                            local: router.local_addr(req.line_addr),
-                        },
-                        AccessKind::Write => LaneOp::Write {
-                            local: router.local_addr(req.line_addr),
-                        },
-                    };
-                    let worker = shard % workers;
-                    let windex = channels[worker].post(LaneRequest {
-                        lane: shard,
+            };
+            let Some((idx, slot)) = pick else { break };
+            debug_assert_eq!(tenants[idx].stream.next_slot(), slot);
+            let rt = &mut tenants[idx];
+            // Closed-loop feedback: the core was suspended on its last
+            // demand read; resume it with the service completion it
+            // observed (slot wait + queueing + OLAT), translated back
+            // onto the tenant-local clock, before it is re-polled.
+            if let Some(ticket) = pending_fb[idx].take() {
+                let service = exec.completion(ticket);
+                rt.traffic.complete(service.completion - rt.origin);
+            }
+            // Lazy arrival pull: everything that arrived by this slot's
+            // start decides real-vs-dummy; later arrivals wait for the
+            // tenant's own later slots.
+            Self::pull_arrivals(rt, slot);
+            let req = match rt.pending.front() {
+                Some(p) if p.at <= slot => {
+                    let arrival = rt.pending.pop_front().expect("front exists");
+                    let outcome = rt.stream.serve(Some(arrival.at));
+                    let local = router.local_addr(arrival.line_addr);
+                    LaneRequest {
+                        lane: router.shard_of(arrival.line_addr),
                         at: outcome.start,
-                        op,
-                    });
-                    posted.push(PostedSlot {
-                        tenant: idx,
-                        slot,
-                        shard,
-                        worker,
-                        windex,
-                        real: true,
-                    });
-                    arbiter.charge(idx, shard_cost[shard]);
-                    if rt.traffic.is_closed_loop() && req.kind == AccessKind::Read {
-                        pending_fb[idx] = Some((worker, windex));
-                    }
-                    if record && serve_log.len() < SERVE_LOG_CAP {
-                        serve_log.push(ServedSlot {
-                            tenant: rt.id,
-                            start: slot,
-                            real: true,
-                        });
-                    }
-                } else {
-                    let shard = rt.rng.next_below(n_shards as u64) as usize;
-                    let outcome = rt.stream.serve(None);
-                    let worker = shard % workers;
-                    let windex = channels[worker].post(LaneRequest {
-                        lane: shard,
-                        at: outcome.start,
-                        op: LaneOp::Dummy,
-                    });
-                    posted.push(PostedSlot {
-                        tenant: idx,
-                        slot,
-                        shard,
-                        worker,
-                        windex,
-                        real: false,
-                    });
-                    arbiter.charge(idx, shard_cost[shard]);
-                    if record && serve_log.len() < SERVE_LOG_CAP {
-                        serve_log.push(ServedSlot {
-                            tenant: rt.id,
-                            start: outcome.start,
-                            real: false,
-                        });
+                        op: match arrival.kind {
+                            AccessKind::Read => LaneOp::Read { local },
+                            AccessKind::Write => LaneOp::Write { local },
+                        },
                     }
                 }
-                if scheduler == SchedulerKind::Calendar {
-                    calendar.insert(idx, tenants[idx].stream.next_slot());
-                }
-                ledger.record_transitions(
-                    tenants[idx].id,
-                    tenants[idx].stream.transitions().len() as u64,
-                );
+                _ => Self::serve_dummy(rt, n_shards),
+            };
+            let real = req.op != LaneOp::Dummy;
+            let ticket = exec.post(req);
+            posted.push(PostedSlot {
+                tenant: idx,
+                slot,
+                real,
+                ticket,
+            });
+            arbiter.charge(idx, shard_cost[req.lane]);
+            if rt.traffic.is_closed_loop() && matches!(req.op, LaneOp::Read { .. }) {
+                pending_fb[idx] = Some(ticket);
             }
-            for channel in channels.iter() {
-                channel.close();
-            }
-        }
-        // Collect the lanes back (blocking until each worker drains its
-        // closed channel) and restore pool index order: worker w holds
-        // lanes w, w + workers, w + 2·workers, … in sequence — each
-        // group is reversed so `pop()` yields its lanes front-first,
-        // and the emptied `lanes` buffer taken from the pool is refilled
-        // in place.
-        for (w, group) in groups.iter_mut().enumerate() {
-            *group = pool.collect_lanes(w);
-            group.reverse();
-        }
-        for i in 0..n_shards {
-            lanes.push(groups[i % workers].pop().expect("lane count conserved"));
-        }
-        debug_assert!(groups.iter().all(Vec::is_empty));
-        self.sharded.put_lanes(lanes);
-        // Workers are parked again; every posted request has its completion.
-        completions.resize_with(workers, Vec::new);
-        for (w, channel) in channels.iter().enumerate() {
-            channel.take_completions_into(&mut completions[w]);
-        }
-        // Deterministic merge: apply per-tenant queueing in (slot time,
-        // shard, posting order) — a fixed order at any thread count.
-        // (The sums are commutative; the merge is what makes the commit
-        // order — and anything ever added to it — thread-count-blind.)
-        merge.clear();
-        for (seq, p) in posted.iter().enumerate() {
-            let service = completions[p.worker][p.windex];
-            merge.push(
-                p.slot,
-                (p.shard as u64, seq as u64),
-                (p.tenant, p.real, service),
+            Self::log_slot(
+                serve_log,
+                record,
+                ServedSlot {
+                    tenant: rt.id,
+                    start: slot,
+                    real,
+                },
             );
+            if scheduler == SchedulerKind::Calendar {
+                calendar.insert(idx, rt.stream.next_slot());
+            }
+            // Ledger sync per served slot (transitions only move when a
+            // slot is served, so untouched tenants need no sweep).
+            ledger.record_transitions(rt.id, rt.stream.transitions().len() as u64);
         }
-        while let Some(event) = merge.pop() {
-            let (tenant, real, service) = event.payload;
-            let rt = &mut tenants[tenant];
+        exec.finish();
+        for p in posted.iter() {
+            let (w, i) = p.ticket;
+            let service = completions[w][i];
+            let rt = &mut tenants[p.tenant];
             rt.queueing_cycles += service.queued_cycles;
-            // Adversary observations commit here, in (slot time, shard,
-            // posting order): a tenant's slot starts are distinct and
-            // increasing, so its per-tenant subsequence is exactly the
-            // serial loop's serve-time order at any thread count.
             if let Some(adv) = rt.adversary.as_mut() {
                 adv.record(ObservedSlot {
-                    start: event.time,
+                    start: p.slot,
                     queued: service.queued_cycles,
-                    real,
+                    real: p.real,
                 });
             }
         }
         // Feedback still owed to tenants with no later due slot this
-        // round: complete at the boundary, exactly the state a serial
-        // round ends with (the core was not re-polled in between).
-        for (idx, fb) in pending_fb.iter_mut().enumerate() {
+        // round completes at the boundary (the core was not re-polled).
+        for (rt, fb) in tenants.iter_mut().zip(pending_fb.iter_mut()) {
             if let Some((w, i)) = fb.take() {
-                let service = completions[w][i];
-                let rt = &mut tenants[idx];
-                rt.traffic.complete(service.completion - rt.origin);
+                rt.traffic
+                    .complete(completions[w][i].completion - rt.origin);
             }
         }
         self.finish_round(frontier);
     }
 
-    /// Round epilogue shared by the serial and parallel loops: lag
-    /// check, rotation advance, clock commit, perf sample.
+    /// Round epilogue: lag check, rotation advance, clock commit, perf
+    /// sample.
     fn finish_round(&mut self, frontier: Cycle) {
         // Churn-safe lag check (debug builds only): every *active*
         // stream must have been served up to the frontier. Evicted

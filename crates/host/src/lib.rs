@@ -71,7 +71,6 @@ mod report;
 mod scenario;
 mod shard;
 mod tenant;
-mod timeq;
 mod traffic;
 
 pub use adversary::{AdversaryKind, ObservedSlot};
@@ -91,7 +90,6 @@ pub use scenario::{
 };
 pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
 pub use tenant::{TenantDirectory, TenantEntry};
-pub use timeq::{TimeQ, TimedEvent};
 pub use traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 
 // Re-exported so downstream harnesses can score adversary-tenant logs

@@ -232,9 +232,10 @@ pub(crate) struct LaneParams {
 
 /// The ORAM operation a lane performs alongside its timing charge.
 ///
-/// The parallel host routes addresses on the spine thread (the PRNG and
-/// tag arithmetic must stay in serial order) and posts lane-local ops;
-/// read payloads are discarded — the host's serving loop never inspects
+/// The host's round loop routes addresses on the spine thread (the PRNG
+/// and tag arithmetic must stay in serve order) and posts lane-local ops
+/// to its executor, which runs them inline or on the worker owning the
+/// lane; read payloads are discarded — the serving loop never inspects
 /// them, and the timing result [`ShardService`] is the completion truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneOp {
@@ -413,9 +414,10 @@ impl Lane {
 
     /// Performs one routed operation: the timing charge plus the
     /// matching ORAM op under this lane's own pipeline discipline. This
-    /// is the unit of work a parallel worker executes; per-lane FIFO
-    /// order makes it bit-identical to the serial host calling
-    /// [`ShardedOram::read`]/`write`/`dummy_access` in the same order.
+    /// is the unit of work the host's round executor runs, inline or on
+    /// a worker thread; it charges exactly like
+    /// [`ShardedOram::read`]/`write`/`dummy_access` called in the same
+    /// order.
     pub(crate) fn execute(&mut self, op: LaneOp, at: Cycle) -> ShardService {
         let kind = self.params.pipeline.kind;
         match op {
@@ -465,19 +467,28 @@ impl Lane {
     }
 }
 
-/// Pure address-routing view of a [`ShardedOram`]: enough to map a
-/// global line address to (shard, local address) without borrowing the
-/// pool. The parallel host routes on the spine thread while worker
-/// threads hold the lanes. Shards of different classes can have
-/// different capacities, so routing carries the per-shard capacity
-/// vector.
-#[derive(Debug, Clone)]
+/// Line-interleaved address routing: maps a global block address to
+/// (shard, shard-local address). [`ShardedOram`] holds the one live
+/// instance and rebuilds it on every resize; the host caches a clone so
+/// the round loop can route on the spine while the lanes are out on
+/// worker threads. Shards of different classes can have different
+/// capacities, so routing carries the per-shard capacity vector.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ShardRouter {
     n_shards: u64,
     capacities: Vec<u64>,
 }
 
 impl ShardRouter {
+    /// Routing over shards `0..n_shards` of `mix` (shard `i` has class
+    /// `i % mix.len()`).
+    fn for_mix(mix: &[MixClass], n_shards: usize) -> Self {
+        Self {
+            n_shards: n_shards as u64,
+            capacities: (0..n_shards).map(|i| mix[i % mix.len()].capacity).collect(),
+        }
+    }
+
     /// The shard owning global block address `addr` (line-interleaved).
     pub(crate) fn shard_of(&self, addr: u64) -> usize {
         (addr % self.n_shards) as usize
@@ -485,12 +496,7 @@ impl ShardRouter {
 
     /// The shard-local address of global block address `addr`.
     pub(crate) fn local_addr(&self, addr: u64) -> u64 {
-        (addr / self.n_shards) % self.capacities[(addr % self.n_shards) as usize]
-    }
-
-    /// Number of shards routed across.
-    pub(crate) fn n_shards(&self) -> usize {
-        self.n_shards as usize
+        (addr / self.n_shards) % self.capacities[self.shard_of(addr)]
     }
 }
 
@@ -510,6 +516,8 @@ pub struct ShardedOram {
     hist_width: u64,
     /// Per-shard service state, disjoint by construction.
     lanes: Vec<Lane>,
+    /// Address routing over the live shards, rebuilt on every resize.
+    router: ShardRouter,
     /// Accesses/dummies served by shards that a shrink later retired
     /// (so fleet-wide conservation checks survive resizes).
     retired_accesses: u64,
@@ -623,6 +631,7 @@ impl ShardedOram {
             .map(|i| Self::mint_lane(&mix, i, hist_width))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
+            router: ShardRouter::for_mix(&mix, n_shards),
             mix,
             olat,
             hist_width,
@@ -683,6 +692,7 @@ impl ShardedOram {
             }
             self.lanes.truncate(n_shards);
         }
+        self.router = ShardRouter::for_mix(&self.mix, n_shards);
         Ok(())
     }
 
@@ -693,10 +703,7 @@ impl ShardedOram {
 
     /// Total addressable blocks across all shards.
     pub fn capacity(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| self.mix[l.index % self.mix.len()].capacity)
-            .sum()
+        self.router.capacities.iter().sum()
     }
 
     /// Pool `OLAT`: the per-access latency every slot grid is built
@@ -766,25 +773,13 @@ impl ShardedOram {
 
     /// The shard owning global block address `addr` (line-interleaved).
     pub fn shard_of(&self, addr: u64) -> usize {
-        (addr % self.lanes.len() as u64) as usize
+        self.router.shard_of(addr)
     }
 
-    fn local_addr(&self, addr: u64) -> u64 {
-        let shard = self.shard_of(addr);
-        (addr / self.lanes.len() as u64) % self.mix[shard % self.mix.len()].capacity
-    }
-
-    /// A cloneable routing view (shard/local address arithmetic only),
-    /// valid until the next [`ShardedOram::resize`].
+    /// A clone of the pool's address routing, valid until the next
+    /// [`ShardedOram::resize`].
     pub(crate) fn router(&self) -> ShardRouter {
-        ShardRouter {
-            n_shards: self.lanes.len() as u64,
-            capacities: self
-                .lanes
-                .iter()
-                .map(|l| self.mix[l.index % self.mix.len()].capacity)
-                .collect(),
-        }
+        self.router.clone()
     }
 
     /// Moves the per-shard lanes out of the pool so a parallel host can
@@ -804,9 +799,8 @@ impl ShardedOram {
 
     /// Reads the block at global address `addr` at slot time `at`.
     pub fn read(&mut self, addr: u64, at: Cycle) -> (Vec<u8>, ShardService) {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
-        let lane = &mut self.lanes[s];
+        let local = self.router.local_addr(addr);
+        let lane = &mut self.lanes[self.router.shard_of(addr)];
         match lane.params.pipeline.kind {
             PipelineKind::Serial => {
                 let service = lane.charge(at);
@@ -824,16 +818,14 @@ impl ShardedOram {
     /// consumer of the cache line is outside the simulated appliance), so
     /// its steady state allocates nothing per slot.
     pub fn read_discard(&mut self, addr: u64, at: Cycle) -> ShardService {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
-        self.lanes[s].execute(LaneOp::Read { local }, at)
+        let local = self.router.local_addr(addr);
+        self.execute(self.router.shard_of(addr), LaneOp::Read { local }, at)
     }
 
     /// Writes the block at global address `addr` at slot time `at`.
     pub fn write(&mut self, addr: u64, data: &[u8], at: Cycle) -> ShardService {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
-        let lane = &mut self.lanes[s];
+        let local = self.router.local_addr(addr);
+        let lane = &mut self.lanes[self.router.shard_of(addr)];
         match lane.params.pipeline.kind {
             PipelineKind::Serial => {
                 let service = lane.charge(at);
@@ -853,7 +845,14 @@ impl ShardedOram {
     /// per-tenant PRNG in the host — so dummies carry no global pattern a
     /// shard-granular observer could use to tell them from real accesses.
     pub fn dummy_access(&mut self, shard: usize, at: Cycle) -> ShardService {
-        self.lanes[shard].execute(LaneOp::Dummy, at)
+        self.execute(shard, LaneOp::Dummy, at)
+    }
+
+    /// Executes one routed operation on shard `lane` at slot time `at`
+    /// (see [`Lane::execute`]): the round loop's inline executor; pool
+    /// workers call [`Lane::execute`] on the lanes they hold.
+    pub(crate) fn execute(&mut self, lane: usize, op: LaneOp, at: Cycle) -> ShardService {
+        self.lanes[lane].execute(op, at)
     }
 
     /// Flushes every shard's background eviction queue (staged mode;
@@ -1111,14 +1110,18 @@ mod tests {
 
     #[test]
     fn addresses_route_by_interleave() {
-        let s = small(4);
-        let r = s.router();
-        for addr in 0..32u64 {
-            assert_eq!(s.shard_of(addr), (addr % 4) as usize);
-            assert_eq!(r.shard_of(addr), s.shard_of(addr));
-            assert_eq!(r.local_addr(addr), s.local_addr(addr));
+        let mut s = small(4);
+        let cap = OramConfig::small().data_block_capacity();
+        for n in [4u64, 3] {
+            let r = s.router();
+            for addr in (0..32u64).chain([cap * n + 5, u64::MAX]) {
+                assert_eq!(s.shard_of(addr), (addr % n) as usize);
+                assert_eq!(r.shard_of(addr), s.shard_of(addr));
+                assert_eq!(r.local_addr(addr), (addr / n) % cap);
+            }
+            // A resize rebuilds the routing over the new shard count.
+            s.resize(3).expect("shrink");
         }
-        assert_eq!(r.n_shards(), 4);
     }
 
     #[test]
@@ -1388,7 +1391,8 @@ mod tests {
             for i in 0..20u64 {
                 let at = i * 700;
                 let addr = i * 3 % 16;
-                let (s, local) = (via_pool.shard_of(addr), via_pool.local_addr(addr));
+                let r = via_pool.router();
+                let (s, local) = (r.shard_of(addr), r.local_addr(addr));
                 let expect = match i % 3 {
                     0 => via_pool.read(addr, at).1,
                     1 => via_pool.write(addr, &zeros, at),
@@ -1525,14 +1529,13 @@ mod tests {
         let r = m.router();
         for addr in 0..64u64 {
             assert_eq!(r.shard_of(addr), m.shard_of(addr));
-            assert_eq!(r.local_addr(addr), m.local_addr(addr));
             let shard = m.shard_of(addr);
             let cap = if shard.is_multiple_of(2) {
                 small_cap
             } else {
                 tiny_cap
             };
-            assert!(m.local_addr(addr) < cap);
+            assert_eq!(r.local_addr(addr), (addr / 4) % cap);
         }
     }
 
